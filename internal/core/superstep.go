@@ -108,13 +108,12 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 	if rs.job.GroupBy == pregel.HashSortGroupBy {
 		gbKind = operators.HashSortGroupBy
 	}
-	comb := &msgCombiner{job: rs.job}
 	spec.AddOp(&hyracks.OperatorDesc{
 		ID:         "gb-local",
 		Partitions: p,
 		Locations:  locs,
 		NewRuntime: func(tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
-			return operators.NewGroupByRuntime(tc, gbKind, comb), nil
+			return operators.NewGroupByRuntime(tc, gbKind, &msgCombiner{job: rs.job}), nil
 		},
 	})
 	spec.Connect(&hyracks.ConnectorDesc{From: "compute", FromPort: portMsgs, To: "gb-local", Type: hyracks.OneToOne})
@@ -132,7 +131,7 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 		Partitions: p,
 		Locations:  locs,
 		NewRuntime: func(tc *hyracks.TaskContext) (hyracks.PushRuntime, error) {
-			return operators.NewGroupByRuntime(tc, recvKind, comb), nil
+			return operators.NewGroupByRuntime(tc, recvKind, &msgCombiner{job: rs.job}), nil
 		},
 	})
 	spec.Connect(&hyracks.ConnectorDesc{
@@ -187,34 +186,58 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 // msgCombiner adapts the job's message combiner to the tuple level.
 // Message payloads are encoded lists; without a user combiner, lists for
 // the same destination are concatenated (the default "gather into a
-// list" combine of the paper's footnote 4).
+// list" combine of the paper's footnote 4). It keeps decode scratch, so
+// each group-by task needs its own.
+//
+// An accumulator's header has a spare slot past its length. It holds
+// the payload buffer the accumulator owns, nil until the first Add: until
+// then acc[1] aliases First's argument and must not be written.
 type msgCombiner struct {
-	job *pregel.Job
+	job  *pregel.Job
+	a, b []pregel.Value // decoded lists, Values reused by the next decode
+	enc  []byte         // encoded combined list
 }
 
 func (c *msgCombiner) First(t tuple.Tuple) tuple.Tuple {
-	return tuple.Tuple{t[0], t[1]}
+	acc := make(tuple.Tuple, 2, 3)
+	acc[0], acc[1] = t[0], t[1]
+	return acc
 }
 
 func (c *msgCombiner) Add(acc, t tuple.Tuple) tuple.Tuple {
+	own := acc[:3][2]
 	if c.job.Combiner == nil {
-		acc[1] = pregel.AppendMsgLists(acc[1], t[1])
+		if own != nil {
+			own = pregel.ExtendMsgList(own, t[1])
+		} else {
+			own = pregel.AppendMsgLists(acc[1], t[1])
+		}
+		acc[1], acc[:3][2] = own, own
 		return acc
 	}
-	av, err := c.job.Codec.DecodeMsgList(acc[1])
-	if err != nil {
+	var err error
+	if c.a, err = c.job.Codec.DecodeMsgListInto(c.a[:0], acc[1]); err != nil {
 		panic(fmt.Sprintf("pregelix: corrupt message list: %v", err))
 	}
-	bv, err := c.job.Codec.DecodeMsgList(t[1])
-	if err != nil {
+	if c.b, err = c.job.Codec.DecodeMsgListInto(c.b[:0], t[1]); err != nil {
 		panic(fmt.Sprintf("pregelix: corrupt message list: %v", err))
 	}
-	all := append(av, bv...)
-	m := all[0]
-	for _, x := range all[1:] {
-		m = c.job.Combiner.Combine(m, x)
+	// Fold acc's messages, then t's; either list may be empty.
+	var m pregel.Value
+	for _, l := range [2][]pregel.Value{c.a, c.b} {
+		for _, x := range l {
+			if m == nil {
+				m = x
+				continue
+			}
+			m = c.job.Combiner.Combine(m, x)
+		}
 	}
-	acc[1] = pregel.EncodeMsgList(m)
+	// Encode aside first: m may be built from bytes of acc[1], which
+	// own can be.
+	c.enc = pregel.AppendMsgList(c.enc[:0], m)
+	own = append(own[:0], c.enc...)
+	acc[1], acc[:3][2] = own, own
 	return acc
 }
 

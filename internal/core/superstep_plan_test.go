@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
+	"pregelix/internal/tuple"
 	"pregelix/pregel"
 )
 
@@ -129,5 +132,57 @@ func TestNeedVid(t *testing.T) {
 		if got := rs.needVid(); got != tc.want {
 			t.Fatalf("needVid(join=%v, auto=%v) = %v, want %v", tc.join, tc.auto, got, tc.want)
 		}
+	}
+}
+
+// TestMsgCombinerFoldsInOwnBuffer: the message combiner folds into a
+// payload buffer its accumulator owns, so after the first Add a summing
+// fold allocates nothing, and it never writes to the bytes First was
+// given (First's argument may alias a frame the caller still reads).
+func TestMsgCombinerFoldsInOwnBuffer(t *testing.T) {
+	msg := func(v float64) tuple.Tuple {
+		d := pregel.Double(v)
+		return tuple.Tuple{tuple.EncodeUint64(7), pregel.EncodeMsgList(&d)}
+	}
+	sum := &msgCombiner{job: &pregel.Job{
+		Codec: pregel.Codec{NewMessage: pregel.NewDouble},
+		Combiner: pregel.CombinerFunc(func(a, b pregel.Value) pregel.Value {
+			*a.(*pregel.Double) += *b.(*pregel.Double)
+			return a
+		}),
+	}}
+	first, one := msg(1), msg(1)
+	firstPayload := slices.Clone(first[1])
+	acc := sum.First(first)
+	acc = sum.Add(acc, one)
+	if allocs := testing.AllocsPerRun(100, func() { acc = sum.Add(acc, one) }); allocs != 0 {
+		t.Fatalf("steady-state Add allocates %.1f times", allocs)
+	}
+	vals, err := sum.job.Codec.DecodeMsgList(acc[1])
+	if err != nil || len(vals) != 1 || *vals[0].(*pregel.Double) != 103 {
+		t.Fatalf("combined payload %v (err %v), want [103]", vals, err)
+	}
+	if !bytes.Equal(first[1], firstPayload) {
+		t.Fatal("Add wrote to the payload First was given")
+	}
+
+	gather := &msgCombiner{job: &pregel.Job{Codec: pregel.Codec{NewMessage: pregel.NewDouble}}}
+	first = msg(1)
+	firstPayload = slices.Clone(first[1])
+	acc = gather.First(first)
+	for i := 2; i <= 5; i++ {
+		acc = gather.Add(acc, msg(float64(i)))
+	}
+	vals, err = gather.job.Codec.DecodeMsgList(acc[1])
+	if err != nil || len(vals) != 5 {
+		t.Fatalf("gathered %d messages (err %v), want 5", len(vals), err)
+	}
+	for i, v := range vals {
+		if *v.(*pregel.Double) != pregel.Double(i+1) {
+			t.Fatalf("gathered message %d = %v, want %d", i, *v.(*pregel.Double), i+1)
+		}
+	}
+	if !bytes.Equal(first[1], firstPayload) {
+		t.Fatal("gathering Add wrote to the payload First was given")
 	}
 }

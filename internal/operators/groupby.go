@@ -5,19 +5,23 @@
 // global aggregation.
 //
 // All operators are out-of-core capable: they meter their buffers against
-// the task's operator-memory budget and spill sorted runs to node-local
-// temporary files when it is exhausted, then merge the runs on close.
-// Buffered input is held as packed frames (one pooled byte buffer per
-// frame) and sorted through zero-copy tuple refs, so the hot path
-// performs no per-tuple or per-field heap allocation.
+// the task's operator-memory budget and spill sorted runs when it is
+// exhausted, then merge the runs on close. A task appends all its runs to
+// one node-local temporary run file, each run a section of it, so a spill
+// opens no file. Buffered input is held as packed frames (one pooled byte
+// buffer per frame) and sorted by key prefix and location, and the merge
+// reads runs through zero-copy tuple refs, so neither the sort, the spill
+// nor the merge performs per-tuple or per-field heap allocation.
 package operators
 
 import (
 	"bytes"
+	"cmp"
 	"container/heap"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"pregelix/internal/hyracks"
 	"pregelix/internal/memory"
@@ -154,6 +158,11 @@ func (g *preclusteredGroupBy) Close() error {
 // input in packed frames metered whole-buffer-at-a-time against the
 // task's operator-memory budget, spilling sorted (combined) runs to
 // disk, and merges runs with final combining on close.
+//
+// All of a task's runs go to one run file, created at the first spill:
+// each spill appends a run and keeps its section. The sort buffers, the
+// accumulator buffer and that file are the operator's own, reused
+// across spills and dropped at Close or Fail.
 type spillingGroupBy struct {
 	hyracks.BaseRuntime
 	tc       *hyracks.TaskContext
@@ -162,18 +171,55 @@ type spillingGroupBy struct {
 
 	budget *memory.Budget
 
-	// Sort-mode buffer: owned packed frames plus refs for sorting.
-	frames []*tuple.Frame
-	app    tuple.FrameAppender
-	refs   []tuple.TupleRef
+	// Sort-mode buffer: owned packed frames, and one sort entry per
+	// buffered tuple. oddKeys records a key that is not 8 bytes wide,
+	// whose order the prefix alone may not settle.
+	frames  []*tuple.Frame
+	app     tuple.FrameAppender
+	keys    []keyLoc
+	oddKeys bool
 
-	// Hash-mode table: key -> boxed accumulator.
+	// Hash-mode table: key -> boxed accumulator; ts is its sort buffer.
 	table map[string]tuple.Tuple
+	ts    []hashEntry
 
+	// The group being folded: acc from the combiner; accHdr and accBuf
+	// hold the copy of its first tuple that First receives; scratch is
+	// the borrowed view Add receives.
+	acc     tuple.Tuple
+	accHdr  tuple.Tuple
+	accBuf  []byte
 	scratch tuple.Tuple
 
-	runs   []*storage.RunFile
-	failed bool
+	runFile *storage.RunFile
+	runs    []storage.RunSection
+	failed  bool
+}
+
+// keyLoc is the sort entry of one buffered tuple: the first 8 bytes of
+// its key, big-endian and zero-padded, and its location, frame index in
+// the high 32 bits and slot in the low ones. Locations grow with
+// arrival, so ordering ties by location keeps the sort stable.
+type keyLoc struct {
+	prefix, loc uint64
+}
+
+// hashEntry is the sort entry of one hash-table accumulator.
+type hashEntry struct {
+	prefix uint64
+	acc    tuple.Tuple
+}
+
+// keyPrefix returns the first 8 bytes of k as a big-endian number,
+// zero-padded. Where two keys' prefixes differ they order the keys;
+// where they are equal the keys are equal if both are 8 bytes wide.
+func keyPrefix(k []byte) uint64 {
+	if len(k) >= 8 {
+		return binary.BigEndian.Uint64(k)
+	}
+	var b [8]byte
+	copy(b[:], k)
+	return binary.BigEndian.Uint64(b[:])
 }
 
 func (g *spillingGroupBy) Open() error {
@@ -200,13 +246,26 @@ func (g *spillingGroupBy) add(r tuple.TupleRef) error {
 		return g.addHash(r)
 	}
 	// Sort mode: copy the packed record into the operator's own frames.
-	if g.app.Frame() != nil && g.app.AppendRef(r) {
-		g.refs = append(g.refs, g.frameTail())
-		return nil
+	if g.app.Frame() == nil || !g.app.AppendRef(r) {
+		if err := g.addFrame(r); err != nil {
+			return err
+		}
 	}
-	// Current frame full (or none yet): meter a whole new frame buffer,
-	// plus the ref-slice bookkeeping of the frame just finished (charged
-	// at frame granularity to keep the per-tuple path lock-free).
+	k := r.Field(0)
+	if len(k) != 8 {
+		g.oddKeys = true
+	}
+	f := g.app.Frame()
+	g.keys = append(g.keys, keyLoc{keyPrefix(k), uint64(len(g.frames)-1)<<32 | uint64(f.Len()-1)})
+	return nil
+}
+
+// addFrame meters and starts a new buffer frame holding r, spilling
+// first when the budget is exhausted.
+func (g *spillingGroupBy) addFrame(r tuple.TupleRef) error {
+	// Meter a whole new frame buffer, plus the sort-entry bookkeeping of
+	// the frame just finished (charged at frame granularity to keep the
+	// per-tuple path lock-free).
 	need := int64(tuple.DefaultFrameSize)
 	if prev := g.app.Frame(); prev != nil {
 		need += int64(prev.Len()) * refOverheadBytes
@@ -233,18 +292,16 @@ func (g *spillingGroupBy) add(r tuple.TupleRef) error {
 		// Oversized tuple grew the buffer; meter the growth best-effort.
 		g.budget.TryAllocate(int64(grown))
 	}
-	g.refs = append(g.refs, g.frameTail())
 	return nil
 }
 
 // refOverheadBytes estimates the in-memory bookkeeping per buffered
-// tuple (a TupleRef plus slice growth slack) for budget metering.
+// tuple (a sort entry plus slice growth slack) for budget metering.
 const refOverheadBytes = 32
 
-// frameTail returns the ref of the record just appended.
-func (g *spillingGroupBy) frameTail() tuple.TupleRef {
-	f := g.app.Frame()
-	return f.Tuple(f.Len() - 1)
+// ref returns the buffered tuple at loc.
+func (g *spillingGroupBy) ref(loc uint64) tuple.TupleRef {
+	return g.frames[loc>>32].Tuple(int(uint32(loc)))
 }
 
 func (g *spillingGroupBy) addHash(r tuple.TupleRef) error {
@@ -275,135 +332,151 @@ func (g *spillingGroupBy) addHash(r tuple.TupleRef) error {
 	return nil
 }
 
-// takeSortedRefs drains the sort-mode buffer into key order. The refs
-// stay valid until releaseMem returns their frames to the pool.
-func (g *spillingGroupBy) takeSortedRefs() []tuple.TupleRef {
-	refs := g.refs
-	g.refs = nil
-	sort.SliceStable(refs, func(i, j int) bool {
-		return bytes.Compare(refs[i].Field(0), refs[j].Field(0)) < 0
+// sortKeys puts the sort-mode buffer's entries into key order, ties in
+// arrival order. Entries compare by key prefix, then, when some key is
+// not 8 bytes wide, by the whole key, then by location.
+func (g *spillingGroupBy) sortKeys() {
+	slices.SortFunc(g.keys, func(a, b keyLoc) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		if g.oddKeys {
+			if c := bytes.Compare(g.ref(a.loc).Field(0), g.ref(b.loc).Field(0)); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(a.loc, b.loc)
 	})
-	return refs
 }
 
-// takeSortedTable drains the hash table into key order.
-func (g *spillingGroupBy) takeSortedTable() []tuple.Tuple {
-	ts := make([]tuple.Tuple, 0, len(g.table))
+// takeSortedTable drains the hash table into key order. The returned
+// slice is reused by the next drain.
+func (g *spillingGroupBy) takeSortedTable() []hashEntry {
+	ts := g.ts[:0]
 	for _, acc := range g.table {
-		ts = append(ts, acc)
+		ts = append(ts, hashEntry{keyPrefix(acc[0]), acc})
 	}
-	g.table = make(map[string]tuple.Tuple)
-	sort.Slice(ts, func(i, j int) bool { return bytes.Compare(ts[i][0], ts[j][0]) < 0 })
+	clear(g.table)
+	slices.SortFunc(ts, func(a, b hashEntry) int {
+		if a.prefix != b.prefix {
+			return cmp.Compare(a.prefix, b.prefix)
+		}
+		return bytes.Compare(a.acc[0], b.acc[0])
+	})
+	g.ts = ts
 	return ts
 }
 
 // releaseMem returns buffered frames to the pool and the metered bytes
-// to the budget.
+// to the budget, keeping the sort buffers for the next fill.
 func (g *spillingGroupBy) releaseMem() {
 	for _, f := range g.frames {
 		tuple.PutFrame(f)
 	}
-	g.frames = nil
+	clear(g.frames)
+	g.frames = g.frames[:0]
 	g.app.Reset(nil)
-	g.refs = nil
+	g.keys = g.keys[:0]
+	g.oddKeys = false
+	clear(g.ts)
+	g.ts = g.ts[:0]
 	if g.budget != nil {
 		g.budget.Release(g.budget.Used())
 	}
 }
 
+// spill appends the sorted (combined) buffer to the task's run file as
+// one more run.
 func (g *spillingGroupBy) spill() error {
-	if g.table != nil {
-		ts := g.takeSortedTable()
-		if len(ts) == 0 {
-			return nil
-		}
-		rf, err := g.newRun()
+	if len(g.keys) == 0 && len(g.table) == 0 {
+		return nil
+	}
+	if g.runFile == nil {
+		rf, err := storage.CreateRunFile(g.tc.TempPath("runs"))
 		if err != nil {
 			return err
 		}
-		for _, t := range ts {
-			if err := rf.Append(t); err != nil {
-				rf.Delete() // not yet in g.runs; reclaim fd+frame+file now
+		g.runFile = rf
+	}
+	rf := g.runFile
+	payload := rf.PayloadBytes()
+	if g.table != nil {
+		for _, e := range g.takeSortedTable() {
+			if err := rf.Append(e.acc); err != nil {
 				return err
 			}
 		}
-		if err := g.sealRun(rf); err != nil {
-			rf.Delete()
+	} else {
+		g.sortKeys()
+		if err := g.drainSorted(rf.AppendRef, rf.Append); err != nil {
 			return err
 		}
-		return nil
 	}
-	refs := g.takeSortedRefs()
-	if len(refs) == 0 {
-		return nil
-	}
-	rf, err := g.newRun()
+	s, err := rf.EndRun()
 	if err != nil {
 		return err
 	}
-	if err := g.foldRefs(refs, rf.AppendRef, rf.Append); err != nil {
-		rf.Delete() // not yet in g.runs; reclaim fd+frame+file now
-		return err
-	}
-	if err := g.sealRun(rf); err != nil {
-		rf.Delete()
-		return err
-	}
+	g.tc.AddIOBytes(rf.PayloadBytes() - payload)
+	g.runs = append(g.runs, s)
 	g.releaseMem()
 	return nil
 }
 
-func (g *spillingGroupBy) newRun() (*storage.RunFile, error) {
-	return storage.CreateRunFile(g.tc.TempPath(fmt.Sprintf("run%d", len(g.runs))))
-}
-
-func (g *spillingGroupBy) sealRun(rf *storage.RunFile) error {
-	if err := rf.CloseWrite(); err != nil {
-		return err
-	}
-	g.tc.AddIOBytes(rf.PayloadBytes())
-	g.runs = append(g.runs, rf)
-	if g.table != nil {
-		g.budget.Release(g.budget.Used())
-	}
-	return nil
-}
-
-// foldRefs walks sorted refs, folding adjacent equal keys through the
-// combiner; pass-through records go to emitRef (one memmove), combined
-// accumulators to emitTuple. With no combiner every ref passes through.
-func (g *spillingGroupBy) foldRefs(refs []tuple.TupleRef,
-	emitRef func(tuple.TupleRef) error, emitTuple func(tuple.Tuple) error) error {
-	if g.combiner == nil {
-		for _, r := range refs {
-			if err := emitRef(r); err != nil {
-				return err
-			}
+// drainSorted passes the sorted sort-mode buffer through consume.
+func (g *spillingGroupBy) drainSorted(emitRef func(tuple.TupleRef) error, emit func(tuple.Tuple) error) error {
+	for _, k := range g.keys {
+		if err := g.consume(g.ref(k.loc), emitRef, emit); err != nil {
+			return err
 		}
+	}
+	return g.endGroup(emit)
+}
+
+// consume takes the next tuple of a key-ordered stream. With no
+// combiner it passes through to emitRef (one memmove). Otherwise a
+// tuple with the current group's key is folded in through a borrowed
+// view, and any other key ends the group (emitting its accumulator) and
+// starts the next from a copy of the tuple in the operator's
+// accumulator buffer. First may retain that copy: it stays untouched
+// until the accumulator is emitted, so r need only be valid during
+// this call.
+func (g *spillingGroupBy) consume(r tuple.TupleRef, emitRef func(tuple.TupleRef) error, emit func(tuple.Tuple) error) error {
+	if g.combiner == nil {
+		return emitRef(r)
+	}
+	if g.acc != nil && bytes.Equal(g.acc[0], r.Field(0)) {
+		g.scratch = r.AppendFieldsTo(g.scratch[:0])
+		g.acc = g.combiner.Add(g.acc, g.scratch)
 		return nil
 	}
-	var acc tuple.Tuple
-	for _, r := range refs {
-		if acc != nil && bytes.Equal(acc[0], r.Field(0)) {
-			g.scratch = r.AppendFieldsTo(g.scratch[:0])
-			acc = g.combiner.Add(acc, g.scratch)
-			continue
-		}
-		if acc != nil {
-			if err := emitTuple(acc); err != nil {
-				return err
-			}
-		}
-		// First may retain its argument, so give it a fresh header (one
-		// small allocation per group, not per tuple); the field slices
-		// alias frames that stay alive until the fold's output has been
-		// written/emitted.
-		acc = g.combiner.First(r.AppendFieldsTo(nil))
+	if err := g.endGroup(emit); err != nil {
+		return err
 	}
-	if acc != nil {
-		return emitTuple(acc)
+	h := r.AppendFieldsTo(g.accHdr[:0])
+	if n := r.Size(); cap(g.accBuf) < n {
+		g.accBuf = make([]byte, 0, n)
 	}
+	buf := g.accBuf[:0]
+	for i, f := range h {
+		at := len(buf)
+		buf = append(buf, f...)
+		// Cap each field so a combiner appending to one cannot
+		// overwrite the next.
+		h[i] = buf[at:len(buf):len(buf)]
+	}
+	g.accHdr = h
+	g.acc = g.combiner.First(h)
 	return nil
+}
+
+// endGroup emits the current group's accumulator, if any.
+func (g *spillingGroupBy) endGroup(emit func(tuple.Tuple) error) error {
+	if g.acc == nil {
+		return nil
+	}
+	acc := g.acc
+	g.acc = nil
+	return emit(acc)
 }
 
 func (g *spillingGroupBy) Fail(err error) {
@@ -413,12 +486,15 @@ func (g *spillingGroupBy) Fail(err error) {
 }
 
 func (g *spillingGroupBy) cleanup() {
-	for _, r := range g.runs {
-		r.Delete()
+	if g.runFile != nil {
+		g.runFile.Delete()
+		g.runFile = nil
 	}
 	g.runs = nil
 	g.table = nil
 	g.releaseMem()
+	g.frames, g.keys, g.ts = nil, nil, nil
+	g.acc, g.accHdr, g.accBuf, g.scratch = nil, nil, nil, nil
 }
 
 func (g *spillingGroupBy) Close() error {
@@ -435,41 +511,148 @@ func (g *spillingGroupBy) Close() error {
 }
 
 func (g *spillingGroupBy) finish() error {
-	if len(g.runs) == 0 {
-		// Fully in-memory: emit straight out of the packed frames.
-		if g.table != nil {
-			for _, t := range g.takeSortedTable() {
-				if err := g.Emit(0, t); err != nil {
+	emitRef := func(r tuple.TupleRef) error { return g.EmitRef(0, r) }
+	emit := func(t tuple.Tuple) error { return g.Emit(0, t) }
+	if g.table != nil {
+		mem := g.takeSortedTable()
+		if len(g.runs) == 0 {
+			// Fully in-memory: the table already holds one accumulator
+			// per key.
+			for _, e := range mem {
+				if err := emit(e.acc); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		refs := g.takeSortedRefs()
-		return g.foldRefs(refs,
-			func(r tuple.TupleRef) error { return g.EmitRef(0, r) },
-			func(t tuple.Tuple) error { return g.Emit(0, t) })
-	}
-	// Merge spilled runs plus the in-memory remainder.
-	srcs := make([]TupleSource, 0, len(g.runs)+1)
-	for _, r := range g.runs {
-		rr, err := storage.OpenRunReader(r.Path())
-		if err != nil {
-			return err
+		srcs := make([]TupleSource, 0, len(g.runs)+1)
+		for _, s := range g.runs {
+			rr := g.runFile.OpenSection(s)
+			defer rr.Close()
+			srcs = append(srcs, rr)
 		}
+		if len(mem) > 0 {
+			ts := make([]tuple.Tuple, len(mem))
+			for i, e := range mem {
+				ts[i] = e.acc
+			}
+			srcs = append(srcs, NewSliceSource(ts))
+		}
+		return MergeSources(srcs, g.combiner, emit)
+	}
+	g.sortKeys()
+	if len(g.runs) == 0 {
+		// Fully in-memory: emit straight out of the packed frames.
+		return g.drainSorted(emitRef, emit)
+	}
+	// Merge the spilled runs, oldest first, then the in-memory
+	// remainder, which holds the latest arrivals.
+	srcs := make([]refSource, 0, len(g.runs)+1)
+	for _, s := range g.runs {
+		rr := g.runFile.OpenSection(s)
 		defer rr.Close()
 		srcs = append(srcs, rr)
 	}
-	if g.table != nil {
-		if mem := g.takeSortedTable(); len(mem) > 0 {
-			srcs = append(srcs, NewSliceSource(mem))
-		}
-	} else if refs := g.takeSortedRefs(); len(refs) > 0 {
-		srcs = append(srcs, &refSource{refs: refs})
+	if len(g.keys) > 0 {
+		srcs = append(srcs, &memSource{g: g})
 	}
-	return MergeSources(srcs, g.combiner, func(t tuple.Tuple) error {
-		return g.Emit(0, t)
-	})
+	return g.mergeRuns(srcs, emitRef, emit)
+}
+
+// refSource is a pull iterator over a key-ordered stream of tuple refs;
+// NextRef returns io.EOF at the end. A ref is valid until the next
+// NextRef call. *storage.RunReader satisfies it.
+type refSource interface {
+	NextRef() (tuple.TupleRef, error)
+}
+
+// memSource streams the sorted in-memory buffer as a refSource.
+type memSource struct {
+	g *spillingGroupBy
+	i int
+}
+
+func (s *memSource) NextRef() (tuple.TupleRef, error) {
+	if s.i >= len(s.g.keys) {
+		return tuple.TupleRef{}, io.EOF
+	}
+	r := s.g.ref(s.g.keys[s.i].loc)
+	s.i++
+	return r, nil
+}
+
+// mergeItem is one source's current head in the k-way merge, with its
+// key cached for comparisons.
+type mergeItem struct {
+	key []byte
+	ref tuple.TupleRef
+	src int
+}
+
+// mergeLess orders heads by key, then by source index, so equal keys
+// leave in run order, which is arrival order.
+func mergeLess(a, b *mergeItem) bool {
+	if c := bytes.Compare(a.key, b.key); c != 0 {
+		return c < 0
+	}
+	return a.src < b.src
+}
+
+// siftDown restores the min-heap order of h below index i.
+func siftDown(h []mergeItem, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && mergeLess(&h[r], &h[m]) {
+			m = r
+		}
+		if !mergeLess(&h[m], &h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// mergeRuns k-way merges key-ordered ref sources through consume. Each
+// head is consumed before its source advances, because advancing may
+// cross a frame and invalidate the ref; so the merge copies no tuple,
+// only each group's first one into the accumulator buffer.
+func (g *spillingGroupBy) mergeRuns(srcs []refSource, emitRef func(tuple.TupleRef) error, emit func(tuple.Tuple) error) error {
+	h := make([]mergeItem, 0, len(srcs))
+	for i, s := range srcs {
+		r, err := s.NextRef()
+		if err == io.EOF {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		h = append(h, mergeItem{r.Field(0), r, i})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	for len(h) > 0 {
+		top := &h[0]
+		if err := g.consume(top.ref, emitRef, emit); err != nil {
+			return err
+		}
+		r, err := srcs[top.src].NextRef()
+		switch {
+		case err == io.EOF:
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		case err != nil:
+			return err
+		default:
+			top.key, top.ref = r.Field(0), r
+		}
+		siftDown(h, 0)
+	}
+	return g.endGroup(emit)
 }
 
 // TupleSource is a pull iterator over a (usually sorted) tuple stream;
@@ -493,23 +676,6 @@ func (s *SliceSource) Next() (tuple.Tuple, error) {
 		return nil, io.EOF
 	}
 	t := s.ts[s.i]
-	s.i++
-	return t, nil
-}
-
-// refSource adapts sorted in-memory refs to a TupleSource. Each Next
-// builds a fresh header whose fields alias the operator's frames (alive
-// until cleanup), so no payload bytes are copied.
-type refSource struct {
-	refs []tuple.TupleRef
-	i    int
-}
-
-func (s *refSource) Next() (tuple.Tuple, error) {
-	if s.i >= len(s.refs) {
-		return nil, io.EOF
-	}
-	t := s.refs[s.i].AppendFieldsTo(nil)
 	s.i++
 	return t, nil
 }

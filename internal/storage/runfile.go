@@ -17,20 +17,35 @@ import (
 // On-disk format: a stream of packed frame images (tuple.WriteFrame), so
 // a whole frame of tuples is written and read back with bulk copies
 // instead of one syscall-sized write per field.
+//
+// A file may also hold several runs back to back: EndRun closes the run
+// written since the previous EndRun and returns its section, which
+// OpenSection reads back while the file stays open for appending. An
+// external sort uses this to keep all of a task's runs in one file.
 type RunFile struct {
 	path string
 	f    *os.File
 	w    *bufio.Writer
 	n    int64
 	sz   int64
+	// off is the file size once everything appended so far is flushed;
+	// runStart is where the current run began.
+	off, runStart int64
 
 	fr  *tuple.Frame
 	app tuple.FrameAppender
 }
 
-// CreateRunFile opens a new run file for writing at path.
+// RunSection locates one run inside a run file: the byte range of its
+// frame images.
+type RunSection struct {
+	Off, Len int64
+}
+
+// CreateRunFile opens a new run file for writing (and, through
+// OpenSection, reading) at path.
 func CreateRunFile(path string) (*RunFile, error) {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("runfile: create %s: %w", path, err)
 	}
@@ -93,8 +108,32 @@ func (r *RunFile) flushFrame() error {
 	if err := tuple.WriteFrame(r.w, r.fr); err != nil {
 		return err
 	}
+	r.off += int64(r.fr.FrameImageSize())
 	r.fr.Reset()
 	return nil
+}
+
+// EndRun ends the run appended since the previous EndRun (or since
+// creation), makes it readable and returns its section. Appending may
+// go on; the next run starts where this one ends.
+func (r *RunFile) EndRun() (RunSection, error) {
+	if err := r.flushFrame(); err != nil {
+		return RunSection{}, err
+	}
+	if err := r.w.Flush(); err != nil {
+		return RunSection{}, err
+	}
+	s := RunSection{Off: r.runStart, Len: r.off - r.runStart}
+	r.runStart = r.off
+	return s, nil
+}
+
+// OpenSection returns a reader over one run the file's EndRun returned.
+// It reads through the run file's own descriptor with positioned reads,
+// so it opens no file and needs no buffer beyond its frame; it is valid
+// until the run file is closed.
+func (r *RunFile) OpenSection(s RunSection) *RunReader {
+	return &RunReader{r: io.NewSectionReader(r.f, s.Off, s.Len), fr: tuple.GetFrame()}
 }
 
 // Count returns the number of tuples written.
@@ -146,8 +185,8 @@ func (r *RunFile) Delete() error {
 // RunReader streams tuples back from a run file, loading one pooled
 // frame at a time.
 type RunReader struct {
-	f     *os.File
-	r     *bufio.Reader
+	f     *os.File // nil for a section reader, which borrows its file
+	r     io.Reader
 	fr    *tuple.Frame
 	idx   int
 	begun bool
@@ -193,6 +232,9 @@ func (rr *RunReader) Close() error {
 	if rr.fr != nil {
 		tuple.PutFrame(rr.fr)
 		rr.fr = nil
+	}
+	if rr.f == nil {
+		return nil
 	}
 	return rr.f.Close()
 }

@@ -64,6 +64,52 @@ func TestRunFileEmpty(t *testing.T) {
 	}
 }
 
+// TestRunFileSections: runs appended to one file read back as separate
+// sections, each while later runs are still being appended, and an
+// empty run reads back empty.
+func TestRunFileSections(t *testing.T) {
+	rf, err := CreateRunFile(filepath.Join(t.TempDir(), "s.run"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rf.Delete()
+	sizes := []int{3000, 0, 1, 700} // 3000 tuples span several frames
+	var secs []RunSection
+	for run, n := range sizes {
+		for i := 0; i < n; i++ {
+			if err := rf.Append(tuple.Tuple{tuple.EncodeUint64(uint64(i)), {byte(run)}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := rf.EndRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs = append(secs, s)
+		for r, s := range secs {
+			rr := rf.OpenSection(s)
+			for i := 0; ; i++ {
+				ref, err := rr.NextRef()
+				if err == io.EOF {
+					if i != sizes[r] {
+						t.Fatalf("run %d read back %d tuples, want %d", r, i, sizes[r])
+					}
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tuple.DecodeUint64(ref.Field(0)) != uint64(i) || ref.Field(1)[0] != byte(r) {
+					t.Fatalf("run %d tuple %d corrupted: %v", r, i, ref)
+				}
+			}
+			if err := rr.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestBufferCacheEvictionWriteback(t *testing.T) {
 	dir := t.TempDir()
 	bc := newTestCache(t, 4)

@@ -3,6 +3,7 @@ package pregel
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // VertexID identifies a vertex. IDs are encoded big-endian in the engine
@@ -152,38 +153,60 @@ func (c *Codec) DecodeVertex(id VertexID, data []byte) (*Vertex, error) {
 // message is a one-element list.
 
 // EncodeMsgList serializes messages into one payload.
-func EncodeMsgList(msgs ...Value) []byte {
-	buf := appendU32(nil, uint32(len(msgs)))
+func EncodeMsgList(msgs ...Value) []byte { return AppendMsgList(nil, msgs...) }
+
+// AppendMsgList appends the payload EncodeMsgList would return to dst.
+func AppendMsgList(dst []byte, msgs ...Value) []byte {
+	dst = appendU32(dst, uint32(len(msgs)))
 	for _, m := range msgs {
-		b := MarshalValue(m)
-		buf = appendU32(buf, uint32(len(b)))
-		buf = append(buf, b...)
+		at := len(dst)
+		dst = appendU32(dst, 0)
+		if m != nil {
+			dst = m.Marshal(dst)
+		}
+		binary.LittleEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
 	}
-	return buf
+	return dst
 }
 
 // AppendMsgLists concatenates two encoded message lists (the default
-// no-combiner behaviour: gather all messages for a destination).
+// no-combiner behaviour: gather all messages for a destination) into a
+// new list.
 func AppendMsgLists(a, b []byte) []byte {
-	na := binary.LittleEndian.Uint32(a)
-	nb := binary.LittleEndian.Uint32(b)
-	out := appendU32(nil, na+nb)
-	out = append(out, a[4:]...)
-	out = append(out, b[4:]...)
-	return out
+	return ExtendMsgList(append(make([]byte, 0, len(a)+len(b)-4), a...), b)
+}
+
+// ExtendMsgList appends the messages of list b to list a in place,
+// reusing a's buffer when it has room, and returns the result. The
+// caller must own a's buffer.
+func ExtendMsgList(a, b []byte) []byte {
+	n := binary.LittleEndian.Uint32(a) + binary.LittleEndian.Uint32(b)
+	a = append(a, b[4:]...)
+	binary.LittleEndian.PutUint32(a, n)
+	return a
 }
 
 // DecodeMsgList deserializes a message payload with the codec.
 func (c *Codec) DecodeMsgList(data []byte) ([]Value, error) {
+	return c.DecodeMsgListInto(nil, data)
+}
+
+// DecodeMsgListInto decodes like DecodeMsgList but appends to dst, and
+// unmarshals into the Values already held in dst's spare capacity
+// before creating new ones, so a caller that passes the previous result
+// back as dst[:0] decodes without allocating.
+func (c *Codec) DecodeMsgListInto(dst []Value, data []byte) ([]Value, error) {
 	if len(data) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	if len(data) < 4 {
 		return nil, fmt.Errorf("pregel: message list too short")
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	off := 4
-	out := make([]Value, 0, n)
+	// Each message takes at least its 4-byte length, which bounds what
+	// a corrupt count can make this reserve.
+	out := slices.Grow(dst, min(n, (len(data)-off)/4))
 	for i := 0; i < n; i++ {
 		if off+4 > len(data) {
 			return nil, fmt.Errorf("pregel: message %d header overruns", i)
@@ -193,7 +216,13 @@ func (c *Codec) DecodeMsgList(data []byte) ([]Value, error) {
 		if off+l > len(data) {
 			return nil, fmt.Errorf("pregel: message %d overruns", i)
 		}
-		m := c.NewMessage()
+		var m Value
+		if len(out) < cap(out) {
+			m = out[:len(out)+1][len(out)]
+		}
+		if m == nil {
+			m = c.NewMessage()
+		}
 		if err := m.Unmarshal(data[off : off+l]); err != nil {
 			return nil, err
 		}
