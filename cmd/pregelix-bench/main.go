@@ -8,11 +8,11 @@
 //	pregelix-bench -experiment fig10a [-nodes 8] [-ram 1048576]
 //	pregelix-bench -experiment all [-json BENCH_PR3.json]
 //
-// Every run also emits a machine-readable JSON report (default
-// BENCH_PR3.json, disable with -json "") with per-experiment wall
-// time and per-run wall time, supersteps, I/O bytes, and — for the
-// framepath/wirepath experiments — allocations per tuple and shuffle
-// throughput over in-process channels vs loopback TCP.
+// With -json PATH a run also writes a machine-readable JSON report
+// (none by default) with per-experiment wall time and per-run wall
+// time, supersteps, I/O bytes, and — for the framepath/wirepath
+// experiments — allocations per tuple and shuffle throughput over
+// in-process channels vs loopback TCP.
 package main
 
 import (
@@ -52,7 +52,7 @@ func main() {
 		ram        = flag.Int64("ram", 1<<20, "per-machine RAM budget in bytes")
 		ratios     = flag.String("ratios", "", "comma-separated dataset/RAM ratios (default per-experiment)")
 		iterations = flag.Int("pr-iterations", 5, "PageRank iterations")
-		jsonPath   = flag.String("json", "BENCH_PR3.json", "machine-readable report path (\"\" = disabled)")
+		jsonPath   = flag.String("json", "", "machine-readable report path (\"\" = none)")
 	)
 	flag.Parse()
 

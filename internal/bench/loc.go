@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bufio"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,33 +14,56 @@ type ModuleLines struct {
 	Lines  int
 }
 
-// CountLines counts non-test, non-comment, non-blank Go lines per core
-// module of this repository, mirroring the paper's counting rules
-// ("excluding their test code and comments").
+// moduleLabels names the modules of the paper's comparison; any other
+// package is labelled by its directory.
+var moduleLabels = map[string]string{
+	".":                "pregelix (root)",
+	"pregel":           "pregel (user API)",
+	"internal/core":    "internal/core (pregelix)",
+	"internal/hyracks": "internal/hyracks (engine)",
+}
+
+// CountLines counts non-test, non-comment, non-blank Go lines per
+// package of this repository's root module, mirroring the paper's
+// counting rules ("excluding their test code and comments"). Nested
+// modules, hidden directories and testdata are not part of the program
+// and are skipped.
 func CountLines() ([]ModuleLines, error) {
 	root, err := findModuleRoot()
 	if err != nil {
 		return nil, err
 	}
-	modules := []struct{ name, dir string }{
-		{"pregel (user API)", "pregel"},
-		{"pregel/algorithms", "pregel/algorithms"},
-		{"internal/core (pregelix)", "internal/core"},
-		{"internal/hyracks (engine)", "internal/hyracks"},
-		{"internal/operators", "internal/operators"},
-		{"internal/storage", "internal/storage"},
-		{"internal/dfs", "internal/dfs"},
-		{"internal/baselines", "internal/baselines"},
-	}
 	var out []ModuleLines
-	for _, m := range modules {
-		n, err := countDir(filepath.Join(root, m.dir))
-		if err != nil {
-			return nil, err
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
 		}
-		out = append(out, ModuleLines{Module: m.name, Lines: n})
-	}
-	return out, nil
+		if path != root {
+			name := d.Name()
+			if strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
+				return filepath.SkipDir
+			}
+		}
+		n, err := countDir(path)
+		if err != nil || n == 0 {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		rel = filepath.ToSlash(rel)
+		label := moduleLabels[rel]
+		if label == "" {
+			label = rel
+		}
+		out = append(out, ModuleLines{Module: label, Lines: n})
+		return nil
+	})
+	return out, err
 }
 
 func findModuleRoot() (string, error) {

@@ -918,12 +918,6 @@ func (c *Coordinator) cancelJob(name string) {
 	phaseCall[struct{}](ctx, c, "", rpcJobCancel, jobNameMsg{Name: name})
 }
 
-// Ping round-trips every worker's control connection.
-func (c *Coordinator) Ping(ctx context.Context) error {
-	_, err := phaseCall[map[string]string](ctx, c, "", rpcPing, struct{}{})
-	return err
-}
-
 // PutFile replicates a DFS file onto every worker (inputs are uploaded
 // to the controller and shipped to the cluster before the load phase).
 func (c *Coordinator) PutFile(ctx context.Context, path string, data []byte) error {

@@ -20,16 +20,12 @@ import (
 	"pregelix/pregel"
 )
 
-// DeltaRefresh incrementally refreshes the sealed result version
+// deltaRefresh incrementally refreshes the sealed result version
 // fromVersion by applying muts (in order) and running delta supersteps
 // until convergence. job must be the same program the sealed run
 // executed, with job.Name set to the NEW version name — it must share
 // the source's base job name, so sealing the refreshed result retires
 // the source. The source version keeps serving queries until the seal.
-func (r *Runtime) DeltaRefresh(ctx context.Context, job *pregel.Job, fromVersion string, muts []delta.Mutation) (*JobStats, error) {
-	return r.deltaRefresh(ctx, job, fromVersion, muts, tenancy{})
-}
-
 func (r *Runtime) deltaRefresh(ctx context.Context, job *pregel.Job, fromVersion string, muts []delta.Mutation, ten tenancy) (*JobStats, error) {
 	if err := job.Validate(); err != nil {
 		return nil, err

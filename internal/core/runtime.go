@@ -319,14 +319,6 @@ func (rs *runState) writeGS() error {
 	return rs.rt.DFS.WriteFile(rs.gsPath(), data)
 }
 
-func (rs *runState) readGS() error {
-	data, err := rs.rt.DFS.ReadFile(rs.gsPath())
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, &rs.gs)
-}
-
 // Run executes one job end to end: load from DFS, iterate supersteps
 // until termination, dump results to DFS.
 func (r *Runtime) Run(ctx context.Context, job *pregel.Job) (*JobStats, error) {

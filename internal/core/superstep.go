@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -120,10 +119,8 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 
 	recvKind := gbKind
 	connType := hyracks.MToNPartitioning
-	var cmp tuple.RefComparator
 	if rs.job.Connector == pregel.MergeConnector {
 		connType = hyracks.MToNPartitioningMerging
-		cmp = tuple.Field0RefCompare
 		recvKind = operators.PreclusteredGroupBy
 	}
 	spec.AddOp(&hyracks.OperatorDesc{
@@ -138,7 +135,6 @@ func (rs *runState) buildSuperstepJob(ss int64) (*hyracks.JobSpec, error) {
 		From: "gb-local", To: "gb-final",
 		Type:        connType,
 		Partitioner: rs.vidPartitioner(),
-		Comparator:  cmp,
 	})
 
 	spec.AddOp(&hyracks.OperatorDesc{
@@ -485,7 +481,7 @@ func (c *computeSource) run(ctx context.Context) error {
 	rs, ps := c.rs, c.rs.parts[c.tc.Partition]
 
 	// Open the combined-message stream of the previous superstep.
-	var msgs operators.TupleSource = emptySource{}
+	var msgs tuple.RefSource = tuple.EmptySource{}
 	if ps.msgPath != "" {
 		rr, err := storage.OpenRunReader(ps.msgPath)
 		if err != nil {
@@ -533,12 +529,17 @@ func (c *computeSource) run(ctx context.Context) error {
 	}
 
 	if c.join == pregel.LeftOuterJoin {
-		vidScan, err := newVidSource(ps)
-		if err != nil {
-			return err
+		// Merge(choose()) of the Msg stream with the Vid index scanned
+		// as (vid, NULL) tuples — the NullMsg function of Figure 8.
+		var cur storage.IndexCursor
+		if ps.vid != nil {
+			if cur, err = storage.AsIndex(ps.vid).ScanFrom(nil); err != nil {
+				return err
+			}
 		}
-		defer vidScan.close()
-		merged := newChooseMergeSource(msgs, vidScan)
+		vids := operators.NewNullMsgSource(cur)
+		defer vids.Close()
+		merged := operators.NewChooseMergeSource(msgs, vids)
 		if err := operators.ProbeJoinLeftOuter(merged, ps.vertexIdx, emit); err != nil {
 			return err
 		}
@@ -559,14 +560,14 @@ func (c *computeSource) run(ctx context.Context) error {
 	}
 	defer ur.Close()
 	for {
-		t, err := ur.Next()
+		r, err := ur.NextRef()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return err
 		}
-		if err := ps.vertexIdx.Insert(t[0], t[1]); err != nil {
+		if err := ps.vertexIdx.Insert(r.Field(0), r.Field(1)); err != nil {
 			return err
 		}
 	}
@@ -742,112 +743,5 @@ func (c *computeCtx) RemoveVertex(id pregel.VertexID) {
 	t := tuple.Tuple{tuple.EncodeUint64(uint64(id)), {mutRemove}, nil}
 	if err := c.src.Emit(portMutations, t); err != nil && c.err == nil {
 		c.err = err
-	}
-}
-
-// emptySource is a TupleSource with no tuples (superstep 1's empty Msg).
-type emptySource struct{}
-
-func (emptySource) Next() (tuple.Tuple, error) { return nil, io.EOF }
-
-// vidSource scans the Vid index as (vid, NULL) tuples — the NullMsg
-// function of Figure 8.
-type vidSource struct {
-	cur storage.IndexCursor
-}
-
-func newVidSource(ps *partitionState) (*vidSource, error) {
-	if ps.vid == nil {
-		return &vidSource{}, nil
-	}
-	cur, err := storage.AsIndex(ps.vid).ScanFrom(nil)
-	if err != nil {
-		return nil, err
-	}
-	return &vidSource{cur: cur}, nil
-}
-
-func (s *vidSource) Next() (tuple.Tuple, error) {
-	if s.cur == nil {
-		return nil, io.EOF
-	}
-	k, _, ok := s.cur.Next()
-	if !ok {
-		if err := s.cur.Err(); err != nil {
-			return nil, err
-		}
-		return nil, io.EOF
-	}
-	return tuple.Tuple{k, nil}, nil
-}
-
-func (s *vidSource) close() {
-	if s.cur != nil {
-		s.cur.Close()
-	}
-}
-
-// chooseMergeSource merges the Msg stream with the Vid stream by vid,
-// preferring the Msg tuple on ties — the Merge(choose()) operator of the
-// left-outer-join plan.
-type chooseMergeSource struct {
-	a, b     operators.TupleSource
-	at, bt   tuple.Tuple
-	ae, be   error
-	prefetch bool
-}
-
-func newChooseMergeSource(a, b operators.TupleSource) *chooseMergeSource {
-	return &chooseMergeSource{a: a, b: b}
-}
-
-func (m *chooseMergeSource) Next() (tuple.Tuple, error) {
-	if !m.prefetch {
-		m.at, m.ae = m.a.Next()
-		m.bt, m.be = m.b.Next()
-		m.prefetch = true
-	}
-	for {
-		switch {
-		case m.ae == nil && m.be == nil:
-			cmp := bytes.Compare(m.at[0], m.bt[0])
-			switch {
-			case cmp == 0:
-				t := m.at
-				m.at, m.ae = m.a.Next()
-				m.bt, m.be = m.b.Next()
-				return t, nil
-			case cmp < 0:
-				t := m.at
-				m.at, m.ae = m.a.Next()
-				return t, nil
-			default:
-				t := m.bt
-				m.bt, m.be = m.b.Next()
-				return t, nil
-			}
-		case m.ae == nil:
-			if m.be != io.EOF {
-				return nil, m.be
-			}
-			t := m.at
-			m.at, m.ae = m.a.Next()
-			return t, nil
-		case m.be == nil:
-			if m.ae != io.EOF {
-				return nil, m.ae
-			}
-			t := m.bt
-			m.bt, m.be = m.b.Next()
-			return t, nil
-		default:
-			if m.ae != io.EOF {
-				return nil, m.ae
-			}
-			if m.be != io.EOF {
-				return nil, m.be
-			}
-			return nil, io.EOF
-		}
 	}
 }

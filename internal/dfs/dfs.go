@@ -270,13 +270,6 @@ func (fs *FileSystem) Rename(oldPath, newPath string) error {
 	return fs.persistLocked()
 }
 
-// Replication returns the effective replication factor.
-func (fs *FileSystem) Replication() int {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	return fs.replication
-}
-
 // Remove deletes a file and its blocks.
 func (fs *FileSystem) Remove(path string) error {
 	fs.mu.Lock()

@@ -1,7 +1,6 @@
 package hyracks
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"io"
@@ -295,11 +294,11 @@ func runPlainReceiver(ctx context.Context, rt PushRuntime, port RecvPort, sender
 	return rt.Close()
 }
 
-// senderStream adapts one sender's receive port into a pull iterator over
-// tuple refs for the merging receiver. The ref returned by advance stays
-// valid until the next advance call (the current frame is only released
-// when replaced).
+// senderStream adapts one sender's receive port into a tuple.RefSource
+// for the merging receiver. A ref stays valid until the next NextRef
+// call (the current frame is only released when replaced).
 type senderStream struct {
+	ctx  context.Context
 	port RecvPort
 	cur  *tuple.Frame
 	idx  int
@@ -313,121 +312,74 @@ func (s *senderStream) release() {
 	}
 }
 
-// advance positions the stream at its next tuple; ok=false at EOS.
-func (s *senderStream) advance(ctx context.Context) (tuple.TupleRef, bool, error) {
+// NextRef returns the stream's next tuple, or io.EOF after the sender's
+// EOS.
+func (s *senderStream) NextRef() (tuple.TupleRef, error) {
 	for {
 		if s.eos {
-			return tuple.TupleRef{}, false, nil
+			return tuple.TupleRef{}, io.EOF
 		}
 		if s.cur != nil && s.idx < s.cur.Len() {
 			r := s.cur.Tuple(s.idx)
 			s.idx++
-			return r, true, nil
+			return r, nil
 		}
-		pkt, err := s.port.Recv(ctx)
+		pkt, err := s.port.Recv(s.ctx)
 		if err != nil {
-			return tuple.TupleRef{}, false, err
+			return tuple.TupleRef{}, err
 		}
 		if pkt.Err != nil {
 			s.release()
-			return tuple.TupleRef{}, false, pkt.Err
+			return tuple.TupleRef{}, pkt.Err
 		}
 		if pkt.EOS {
 			s.release()
 			s.eos = true
-			return tuple.TupleRef{}, false, nil
+			return tuple.TupleRef{}, io.EOF
 		}
 		s.release()
 		s.cur, s.idx = pkt.Frame, 0
 	}
 }
 
-type mergeItem struct {
-	r      tuple.TupleRef
-	stream *senderStream
-}
-
-type mergeHeap struct {
-	items []mergeItem
-	cmp   tuple.RefComparator
-}
-
-func (h *mergeHeap) Len() int           { return len(h.items) }
-func (h *mergeHeap) Less(i, j int) bool { return h.cmp(h.items[i].r, h.items[j].r) < 0 }
-func (h *mergeHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *mergeHeap) Push(x any)         { h.items = append(h.items, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
-// runMergingReceiver merges the sorted per-sender streams by cmp and
-// feeds the consumer runtime a globally sorted stream. This is the
-// receiver side of the m-to-n partitioning merging connector: it waits
-// selectively on specific senders as dictated by the priority queue,
-// which is why the sender side must materialize (Section 5.3.1). The
-// merge operates on frame refs: each winning record is copied into the
+// runMergingReceiver merges the per-sender streams, each sorted by
+// field 0, and feeds the consumer runtime a globally sorted stream.
+// This is the receiver side of the m-to-n partitioning merging
+// connector: it waits selectively on specific senders as dictated by
+// the merge's priority queue, which is why the sender side must
+// materialize (Section 5.3.1). Each winning record is copied into the
 // output frame with one memmove before its stream advances.
-func runMergingReceiver(ctx context.Context, rt PushRuntime, ports []RecvPort, cmp tuple.RefComparator) error {
+func runMergingReceiver(ctx context.Context, rt PushRuntime, ports []RecvPort) error {
 	if err := rt.Open(); err != nil {
 		rt.Fail(err)
 		return err
 	}
-	streams := make([]*senderStream, 0, len(ports))
-	defer func() {
-		for _, s := range streams {
-			s.release()
-		}
-	}()
-	h := &mergeHeap{cmp: cmp}
-	for _, port := range ports {
-		s := &senderStream{port: port}
-		streams = append(streams, s)
-		r, ok, err := s.advance(ctx)
-		if err != nil {
-			rt.Fail(err)
-			return err
-		}
-		if ok {
-			h.items = append(h.items, mergeItem{r, s})
-		}
+	streams := make([]tuple.RefSource, len(ports))
+	for i, port := range ports {
+		s := &senderStream{ctx: ctx, port: port}
+		defer s.release()
+		streams[i] = s
 	}
-	heap.Init(h)
 	out := tuple.GetFrame()
 	defer tuple.PutFrame(out)
 	app := tuple.NewFrameAppender(out)
-	for h.Len() > 0 {
-		item := h.items[0]
-		// Copy the winning record before advancing its stream (advance
-		// may replace the frame the ref points into).
-		if !app.AppendRef(item.r) {
-			if err := rt.NextFrame(out); err != nil {
-				rt.Fail(err)
-				return err
-			}
-			out.Reset()
-			app.AppendRef(item.r)
+	err := tuple.Merge(streams, func(r tuple.TupleRef) error {
+		if app.AppendRef(r) {
+			return nil
 		}
-		r, ok, err := item.stream.advance(ctx)
-		if err != nil {
-			rt.Fail(err)
-			return err
-		}
-		if ok {
-			h.items[0] = mergeItem{r, item.stream}
-			heap.Fix(h, 0)
-		} else {
-			heap.Pop(h)
-		}
-	}
-	if out.Len() > 0 {
 		if err := rt.NextFrame(out); err != nil {
-			rt.Fail(err)
 			return err
 		}
+		out.Reset()
+		app.AppendRef(r)
+		return nil
+	})
+	if err == nil && out.Len() > 0 {
+		err = rt.NextFrame(out)
+	}
+	if err != nil {
+		rt.Fail(err)
+		return err
 	}
 	return rt.Close()
 }

@@ -151,7 +151,6 @@ func TestMergingConnectorFramePool(t *testing.T) {
 		From: "src", To: "sink",
 		Type:         MToNPartitioningMerging,
 		Partitioner:  HashPartitioner(0),
-		Comparator:   tuple.Field0RefCompare,
 		BufferFrames: 1,
 	})
 

@@ -318,7 +318,7 @@ func (ex *executor) launchReceivers(op *OperatorDesc, cs *connState) {
 				for s := 0; s < cs.senders; s++ {
 					ports[s] = cs.trans.RecvMerge(s, p)
 				}
-				if err := runMergingReceiver(ex.ctx, rt, ports, cs.desc.Comparator); err != nil {
+				if err := runMergingReceiver(ex.ctx, rt, ports); err != nil {
 					ex.fail(err)
 				}
 			default:

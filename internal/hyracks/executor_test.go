@@ -179,7 +179,6 @@ func TestMergingConnectorProducesSortedStream(t *testing.T) {
 		From: "src", To: "sink",
 		Type:        MToNPartitioningMerging,
 		Partitioner: HashPartitioner(0),
-		Comparator:  tuple.Field0RefCompare,
 	})
 	if _, err := RunJob(context.Background(), cluster, spec); err != nil {
 		t.Fatal(err)

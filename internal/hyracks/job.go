@@ -94,8 +94,9 @@ const (
 	// MToNPartitioning repartitions tuples by a partitioning function;
 	// fully pipelined.
 	MToNPartitioning
-	// MToNPartitioningMerging repartitions and merges sorted sender
-	// streams at the receiver by a comparator; the sender side uses the
+	// MToNPartitioningMerging repartitions and merges sender streams
+	// sorted by field 0 (bytewise, as tuple.Merge orders them) at the
+	// receiver; the sender side uses the
 	// materializing-pipelined policy to avoid the scheduling deadlocks
 	// noted in Section 5.3.1.
 	MToNPartitioningMerging
@@ -149,9 +150,6 @@ type ConnectorDesc struct {
 	Type     ConnectorType
 	// Partitioner is required for MToN types.
 	Partitioner Partitioner
-	// Comparator is required for the merging connector; it orders
-	// tuples in place by their frame refs.
-	Comparator tuple.RefComparator
 	// Materialized forces the sender-side materializing pipelined policy
 	// on a non-merging connector (merging connectors always use it).
 	Materialized bool
@@ -233,9 +231,6 @@ func (j *JobSpec) Validate() error {
 		case MToNPartitioning, MToNPartitioningMerging:
 			if c.Partitioner == nil {
 				return fmt.Errorf("job %s: connector %s->%s needs a partitioner", j.Name, c.From, c.To)
-			}
-			if c.Type == MToNPartitioningMerging && c.Comparator == nil {
-				return fmt.Errorf("job %s: merging connector %s->%s needs a comparator", j.Name, c.From, c.To)
 			}
 		case ReduceToOne:
 			if to.Partitions != 1 {

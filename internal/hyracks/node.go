@@ -106,9 +106,6 @@ func NewNodeController(id NodeID, dir string, cfg NodeConfig) (*NodeController, 
 // *NodeFailure error at open time (failure injection for recovery tests).
 func (n *NodeController) Fail() { n.failed.Store(true) }
 
-// Heal clears the failure flag.
-func (n *NodeController) Heal() { n.failed.Store(false) }
-
 // Failed reports whether the node is down.
 func (n *NodeController) Failed() bool { return n.failed.Load() }
 
@@ -219,14 +216,6 @@ func (c *Cluster) Blacklist(id NodeID) {
 	c.blacklist[id] = true
 }
 
-// Unblacklist restores a node to scheduling (a repaired machine
-// rejoining).
-func (c *Cluster) Unblacklist(id NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.blacklist, id)
-}
-
 // Blacklisted reports whether a node is on the master's blacklist
 // (distinct from Failed: a failed node crashed, a blacklisted one is
 // excluded from scheduling whether or not it has recovered).
@@ -247,13 +236,4 @@ func (c *Cluster) LiveNodes() []*NodeController {
 		}
 	}
 	return live
-}
-
-// AggregatedRAM returns the sum of all live nodes' RAM capacities.
-func (c *Cluster) AggregatedRAM() int64 {
-	var total int64
-	for _, n := range c.LiveNodes() {
-		total += n.RAM.Capacity()
-	}
-	return total
 }

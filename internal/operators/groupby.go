@@ -9,15 +9,18 @@
 // exhausted, then merge the runs on close. A task appends all its runs to
 // one node-local temporary run file, each run a section of it, so a spill
 // opens no file. Buffered input is held as packed frames (one pooled byte
-// buffer per frame) and sorted by key prefix and location, and the merge
-// reads runs through zero-copy tuple refs, so neither the sort, the spill
-// nor the merge performs per-tuple or per-field heap allocation.
+// buffer per frame) and sorted by key prefix and location.
+//
+// Every sorted stream the operators read — a spilled run, the group-by's
+// in-memory remainder, the Msg file, the Vid index scan, the choose-merge
+// of the two — is a tuple.RefSource of zero-copy refs, and tuple.Merge is
+// the one k-way merge over them. So neither the sort, the spill, the
+// merge nor the join input performs per-tuple heap allocation.
 package operators
 
 import (
 	"bytes"
 	"cmp"
-	"container/heap"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -513,60 +516,57 @@ func (g *spillingGroupBy) Close() error {
 func (g *spillingGroupBy) finish() error {
 	emitRef := func(r tuple.TupleRef) error { return g.EmitRef(0, r) }
 	emit := func(t tuple.Tuple) error { return g.Emit(0, t) }
+	var mem tuple.RefSource
 	if g.table != nil {
-		mem := g.takeSortedTable()
+		ts := g.takeSortedTable()
 		if len(g.runs) == 0 {
 			// Fully in-memory: the table already holds one accumulator
 			// per key.
-			for _, e := range mem {
+			for _, e := range ts {
 				if err := emit(e.acc); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		srcs := make([]TupleSource, 0, len(g.runs)+1)
-		for _, s := range g.runs {
-			rr := g.runFile.OpenSection(s)
-			defer rr.Close()
-			srcs = append(srcs, rr)
+		if len(ts) > 0 {
+			f := tuple.GetFrame()
+			defer tuple.PutFrame(f)
+			src := &tableSource{ts: ts}
+			src.app.Reset(f)
+			mem = src
 		}
-		if len(mem) > 0 {
-			ts := make([]tuple.Tuple, len(mem))
-			for i, e := range mem {
-				ts[i] = e.acc
-			}
-			srcs = append(srcs, NewSliceSource(ts))
+	} else {
+		g.sortKeys()
+		if len(g.runs) == 0 {
+			// Fully in-memory: emit straight out of the packed frames.
+			return g.drainSorted(emitRef, emit)
 		}
-		return MergeSources(srcs, g.combiner, emit)
-	}
-	g.sortKeys()
-	if len(g.runs) == 0 {
-		// Fully in-memory: emit straight out of the packed frames.
-		return g.drainSorted(emitRef, emit)
+		if len(g.keys) > 0 {
+			mem = &memSource{g: g}
+		}
 	}
 	// Merge the spilled runs, oldest first, then the in-memory
-	// remainder, which holds the latest arrivals.
-	srcs := make([]refSource, 0, len(g.runs)+1)
+	// remainder, which holds the latest arrivals. The merge consumes
+	// each ref before advancing its source, so it copies no tuple; only
+	// each group's first one goes into the accumulator buffer.
+	srcs := make([]tuple.RefSource, 0, len(g.runs)+1)
 	for _, s := range g.runs {
 		rr := g.runFile.OpenSection(s)
 		defer rr.Close()
 		srcs = append(srcs, rr)
 	}
-	if len(g.keys) > 0 {
-		srcs = append(srcs, &memSource{g: g})
+	if mem != nil {
+		srcs = append(srcs, mem)
 	}
-	return g.mergeRuns(srcs, emitRef, emit)
+	err := tuple.Merge(srcs, func(r tuple.TupleRef) error { return g.consume(r, emitRef, emit) })
+	if err != nil {
+		return err
+	}
+	return g.endGroup(emit)
 }
 
-// refSource is a pull iterator over a key-ordered stream of tuple refs;
-// NextRef returns io.EOF at the end. A ref is valid until the next
-// NextRef call. *storage.RunReader satisfies it.
-type refSource interface {
-	NextRef() (tuple.TupleRef, error)
-}
-
-// memSource streams the sorted in-memory buffer as a refSource.
+// memSource streams the sorted in-memory buffer as a tuple.RefSource.
 type memSource struct {
 	g *spillingGroupBy
 	i int
@@ -581,173 +581,21 @@ func (s *memSource) NextRef() (tuple.TupleRef, error) {
 	return r, nil
 }
 
-// mergeItem is one source's current head in the k-way merge, with its
-// key cached for comparisons.
-type mergeItem struct {
-	key []byte
-	ref tuple.TupleRef
-	src int
+// tableSource streams the sorted hash-table remainder as a
+// tuple.RefSource, packing each accumulator in turn into one scratch
+// frame.
+type tableSource struct {
+	ts  []hashEntry
+	app tuple.FrameAppender
 }
 
-// mergeLess orders heads by key, then by source index, so equal keys
-// leave in run order, which is arrival order.
-func mergeLess(a, b *mergeItem) bool {
-	if c := bytes.Compare(a.key, b.key); c != 0 {
-		return c < 0
+func (s *tableSource) NextRef() (tuple.TupleRef, error) {
+	if len(s.ts) == 0 {
+		return tuple.TupleRef{}, io.EOF
 	}
-	return a.src < b.src
-}
-
-// siftDown restores the min-heap order of h below index i.
-func siftDown(h []mergeItem, i int) {
-	for {
-		m := 2*i + 1
-		if m >= len(h) {
-			return
-		}
-		if r := m + 1; r < len(h) && mergeLess(&h[r], &h[m]) {
-			m = r
-		}
-		if !mergeLess(&h[m], &h[i]) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-// mergeRuns k-way merges key-ordered ref sources through consume. Each
-// head is consumed before its source advances, because advancing may
-// cross a frame and invalidate the ref; so the merge copies no tuple,
-// only each group's first one into the accumulator buffer.
-func (g *spillingGroupBy) mergeRuns(srcs []refSource, emitRef func(tuple.TupleRef) error, emit func(tuple.Tuple) error) error {
-	h := make([]mergeItem, 0, len(srcs))
-	for i, s := range srcs {
-		r, err := s.NextRef()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		h = append(h, mergeItem{r.Field(0), r, i})
-	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i)
-	}
-	for len(h) > 0 {
-		top := &h[0]
-		if err := g.consume(top.ref, emitRef, emit); err != nil {
-			return err
-		}
-		r, err := srcs[top.src].NextRef()
-		switch {
-		case err == io.EOF:
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
-		case err != nil:
-			return err
-		default:
-			top.key, top.ref = r.Field(0), r
-		}
-		siftDown(h, 0)
-	}
-	return g.endGroup(emit)
-}
-
-// TupleSource is a pull iterator over a (usually sorted) tuple stream;
-// Next returns io.EOF at the end. *storage.RunReader satisfies it.
-type TupleSource interface {
-	Next() (tuple.Tuple, error)
-}
-
-// SliceSource adapts an in-memory tuple slice to a TupleSource.
-type SliceSource struct {
-	ts []tuple.Tuple
-	i  int
-}
-
-// NewSliceSource wraps ts (which must already be in the desired order).
-func NewSliceSource(ts []tuple.Tuple) *SliceSource { return &SliceSource{ts: ts} }
-
-// Next returns the next tuple or io.EOF.
-func (s *SliceSource) Next() (tuple.Tuple, error) {
-	if s.i >= len(s.ts) {
-		return nil, io.EOF
-	}
-	t := s.ts[s.i]
-	s.i++
-	return t, nil
-}
-
-type srcHeap struct {
-	items []srcItem
-}
-
-type srcItem struct {
-	t   tuple.Tuple
-	src TupleSource
-}
-
-func (h *srcHeap) Len() int           { return len(h.items) }
-func (h *srcHeap) Less(i, j int) bool { return bytes.Compare(h.items[i].t[0], h.items[j].t[0]) < 0 }
-func (h *srcHeap) Swap(i, j int)      { h.items[i], h.items[j] = h.items[j], h.items[i] }
-func (h *srcHeap) Push(x any)         { h.items = append(h.items, x.(srcItem)) }
-func (h *srcHeap) Pop() any {
-	old := h.items
-	n := len(old)
-	x := old[n-1]
-	h.items = old[:n-1]
-	return x
-}
-
-// MergeSources k-way merges sorted sources, folding equal keys through
-// the combiner (when non-nil), and emits in ascending key order.
-func MergeSources(srcs []TupleSource, combiner Combiner, emit func(tuple.Tuple) error) error {
-	h := &srcHeap{}
-	for _, s := range srcs {
-		t, err := s.Next()
-		if err == io.EOF {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		h.items = append(h.items, srcItem{t, s})
-	}
-	heap.Init(h)
-	var acc tuple.Tuple
-	for h.Len() > 0 {
-		item := h.items[0]
-		t, err := item.src.Next()
-		if err != nil && err != io.EOF {
-			return err
-		}
-		if err == io.EOF {
-			heap.Pop(h)
-		} else {
-			h.items[0] = srcItem{t, item.src}
-			heap.Fix(h, 0)
-		}
-		cur := item.t
-		switch {
-		case combiner == nil:
-			if err := emit(cur); err != nil {
-				return err
-			}
-		case acc == nil:
-			acc = combiner.First(cur)
-		case bytes.Equal(acc[0], cur[0]):
-			acc = combiner.Add(acc, cur)
-		default:
-			if err := emit(acc); err != nil {
-				return err
-			}
-			acc = combiner.First(cur)
-		}
-	}
-	if acc != nil {
-		return emit(acc)
-	}
-	return nil
+	f := s.app.Frame()
+	f.Reset()
+	s.app.Append(s.ts[0].acc...)
+	s.ts = s.ts[1:]
+	return f.Tuple(0), nil
 }

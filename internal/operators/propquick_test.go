@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -11,58 +12,44 @@ import (
 	"pregelix/internal/tuple"
 )
 
-// TestMergeSourcesEqualsSortQuick: merging K sorted fragments of a random
-// multiset (with the summing combiner) must equal grouping the whole
-// multiset directly.
+// TestMergeSourcesEqualsSortQuick: k-way merging K sorted fragments of
+// a random multiset with tuple.Merge must equal stably sorting the
+// fragments' concatenation by key: ascending keys, and equal keys in
+// source order, then in order within their source.
 func TestMergeSourcesEqualsSortQuick(t *testing.T) {
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 200 + rng.Intn(800)
-		all := make([]tuple.Tuple, n)
-		for i := range all {
-			all[i] = tuple.Tuple{
-				tuple.EncodeUint64(uint64(rng.Intn(100))),
-				tuple.EncodeFloat64(float64(rng.Intn(5))),
-			}
-		}
-		// Expected: direct grouping.
-		want := map[uint64]float64{}
-		for _, tp := range all {
-			want[tuple.DecodeUint64(tp[0])] += tuple.DecodeFloat64(tp[1])
-		}
-		// Split into k sorted fragments.
 		k := 1 + rng.Intn(5)
 		frags := make([][]tuple.Tuple, k)
-		for i, tp := range all {
-			f := i % k
-			frags[f] = append(frags[f], tp)
-		}
-		srcs := make([]TupleSource, k)
-		for i := range frags {
-			sort.SliceStable(frags[i], func(a, b int) bool {
-				return bytes.Compare(frags[i][a][0], frags[i][b][0]) < 0
+		for i := range 200 + rng.Intn(800) {
+			f := rng.Intn(k)
+			frags[f] = append(frags[f], tuple.Tuple{
+				tuple.EncodeUint64(uint64(rng.Intn(100))),
+				tuple.EncodeUint64(uint64(f)<<32 | uint64(i)), // source, arrival
 			})
-			srcs[i] = NewSliceSource(frags[i])
 		}
-		got := map[uint64]float64{}
-		var prev []byte
-		err := MergeSources(srcs, sumCombiner{}, func(tp tuple.Tuple) error {
-			if prev != nil && bytes.Compare(prev, tp[0]) >= 0 {
-				t.Fatal("merge output not strictly increasing")
-			}
-			prev = append(prev[:0], tp[0]...)
-			got[tuple.DecodeUint64(tp[0])] = tuple.DecodeFloat64(tp[1])
+		var want []tuple.Tuple
+		srcs := make([]tuple.RefSource, k)
+		for i, frag := range frags {
+			slices.SortStableFunc(frag, func(a, b tuple.Tuple) int { return bytes.Compare(a[0], b[0]) })
+			want = append(want, frag...)
+			srcs[i] = refsOf(frag...)
+		}
+		slices.SortStableFunc(want, func(a, b tuple.Tuple) int { return bytes.Compare(a[0], b[0]) })
+		var got []tuple.Tuple
+		err := tuple.Merge(srcs, func(r tuple.TupleRef) error {
+			got = append(got, r.Materialize())
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(want) {
-			t.Fatalf("seed %d: %d groups want %d", seed, len(got), len(want))
+			t.Fatalf("seed %d: merged %d tuples, want %d", seed, len(got), len(want))
 		}
-		for key, w := range want {
-			if got[key] != w {
-				t.Fatalf("seed %d: key %d: %v want %v", seed, key, got[key], w)
+		for i := range want {
+			if !tuple.Equal(got[i], want[i]) {
+				t.Fatalf("seed %d: at %d got %v want %v", seed, i, got[i], want[i])
 			}
 		}
 		return true
@@ -96,11 +83,7 @@ func TestChooseMergeQuick(t *testing.T) {
 		}
 		at, akeys := mk('a')
 		bt, bkeys := mk('b')
-		var got []tuple.Tuple
-		err := ChooseMerge(NewSliceSource(at), NewSliceSource(bt), func(tp tuple.Tuple) error {
-			got = append(got, tp)
-			return nil
-		})
+		got, err := drain(NewChooseMergeSource(refsOf(at...), refsOf(bt...)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,24 +119,38 @@ func TestChooseMergeQuick(t *testing.T) {
 	}
 }
 
-// errSource fails after a few tuples; joins must propagate the error.
-type errSource struct{ n int }
+// errSource fails after n tuples; joins must propagate the error.
+type errSource struct {
+	n int
+	f *tuple.Frame
+}
 
-func (s *errSource) Next() (tuple.Tuple, error) {
+func (s *errSource) NextRef() (tuple.TupleRef, error) {
 	if s.n <= 0 {
-		return nil, io.ErrUnexpectedEOF
+		return tuple.TupleRef{}, io.ErrUnexpectedEOF
 	}
 	s.n--
-	return tuple.Tuple{tuple.EncodeUint64(uint64(s.n)), nil}, nil
+	s.f = packOne(s.f, tuple.Tuple{tuple.EncodeUint64(uint64(s.n)), nil})
+	return s.f.Tuple(0), nil
 }
 
 func TestJoinsPropagateSourceErrors(t *testing.T) {
 	idx := buildVertexIndex(t, []uint64{1, 2, 3})
 	defer idx.Close()
-	if err := FullOuterIndexJoin(&errSource{n: 1}, idx, func(_, _, _ []byte) error { return nil }); err == nil {
+	noop := func(_, _, _ []byte) error { return nil }
+	if err := FullOuterIndexJoin(&errSource{n: 1}, idx, noop); err == nil {
 		t.Fatal("FOJ swallowed source error")
 	}
-	if err := ProbeJoinLeftOuter(&errSource{n: 1}, idx, func(_, _, _ []byte) error { return nil }); err == nil {
+	if err := ProbeJoinLeftOuter(&errSource{n: 1}, idx, noop); err == nil {
 		t.Fatal("LOJ swallowed source error")
+	}
+	// The LOJ plan's choose-merge passes either input's error on.
+	for _, in := range []*ChooseMergeSource{
+		NewChooseMergeSource(&errSource{n: 1}, refsOf(tuple.Tuple{tuple.EncodeUint64(9), nil})),
+		NewChooseMergeSource(refsOf(tuple.Tuple{tuple.EncodeUint64(9), []byte("m")}), &errSource{n: 1}),
+	} {
+		if err := ProbeJoinLeftOuter(in, idx, noop); err == nil {
+			t.Fatal("choose-merge swallowed source error")
+		}
 	}
 }

@@ -190,20 +190,6 @@ func (bc *BufferCache) Unpin(fr *PageFrame, dirty bool) {
 	}
 }
 
-// FlushFile writes back all dirty pages of the file.
-func (bc *BufferCache) FlushFile(fid FileID) error {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	for key, fr := range bc.frames {
-		if key.fid == fid && fr.dirty {
-			if err := bc.writebackLocked(fr); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // CloseFile flushes and forgets the file's pages and closes the handle.
 func (bc *BufferCache) CloseFile(fid FileID) error {
 	bc.mu.Lock()

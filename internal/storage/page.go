@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sort"
 )
 
@@ -213,10 +212,4 @@ func (p nodePage) hasRoomFor(recBytes int) bool {
 	live := p.usedBytes()
 	total := len(p.data) - pageHeaderSize - 2*p.count()
 	return total-live >= recBytes+2
-}
-
-func (p nodePage) debugString() string {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "level=%d count=%d free=%d", p.level(), p.count(), p.freeSpace())
-	return b.String()
 }

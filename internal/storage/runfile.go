@@ -183,7 +183,7 @@ func (r *RunFile) Delete() error {
 }
 
 // RunReader streams tuples back from a run file, loading one pooled
-// frame at a time.
+// frame at a time. It is a tuple.RefSource.
 type RunReader struct {
 	f     *os.File // nil for a section reader, which borrows its file
 	r     io.Reader
@@ -202,8 +202,8 @@ func OpenRunReader(path string) (*RunReader, error) {
 }
 
 // NextRef returns a zero-copy ref to the next tuple, or io.EOF at end of
-// file. The ref is valid only until the next NextRef call that crosses a
-// frame boundary; callers that hold tuples across reads must Materialize.
+// file. The ref is valid until the next NextRef call crosses a frame
+// boundary; callers that hold tuples across reads must copy them.
 func (rr *RunReader) NextRef() (tuple.TupleRef, error) {
 	for !rr.begun || rr.idx >= rr.fr.Len() {
 		if err := tuple.ReadFrameInto(rr.r, rr.fr); err != nil {
@@ -217,16 +217,6 @@ func (rr *RunReader) NextRef() (tuple.TupleRef, error) {
 	return r, nil
 }
 
-// Next returns the next tuple in boxed (owned) form, or (nil, io.EOF) at
-// end of file.
-func (rr *RunReader) Next() (tuple.Tuple, error) {
-	r, err := rr.NextRef()
-	if err != nil {
-		return nil, err
-	}
-	return r.Materialize(), nil
-}
-
 // Close releases the read handle and its frame buffer.
 func (rr *RunReader) Close() error {
 	if rr.fr != nil {
@@ -237,24 +227,4 @@ func (rr *RunReader) Close() error {
 		return nil
 	}
 	return rr.f.Close()
-}
-
-// ReadAll loads every tuple of a run file (test/tooling helper).
-func ReadAll(path string) ([]tuple.Tuple, error) {
-	rr, err := OpenRunReader(path)
-	if err != nil {
-		return nil, err
-	}
-	defer rr.Close()
-	var out []tuple.Tuple
-	for {
-		t, err := rr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
 }

@@ -33,15 +33,15 @@ func TestRunFileRoundTrip(t *testing.T) {
 	}
 	defer rr.Close()
 	for i := 0; i < n; i++ {
-		tp, err := rr.Next()
+		r, err := rr.NextRef()
 		if err != nil {
 			t.Fatalf("tuple %d: %v", i, err)
 		}
-		if tuple.DecodeUint64(tp[0]) != uint64(i) || string(tp[1]) != "payload" || len(tp[2]) != 0 {
-			t.Fatalf("tuple %d corrupted: %v", i, tp)
+		if tuple.DecodeUint64(r.Field(0)) != uint64(i) || string(r.Field(1)) != "payload" || len(r.Field(2)) != 0 {
+			t.Fatalf("tuple %d corrupted: %v", i, r)
 		}
 	}
-	if _, err := rr.Next(); err != io.EOF {
+	if _, err := rr.NextRef(); err != io.EOF {
 		t.Fatalf("expected EOF, got %v", err)
 	}
 }
@@ -55,12 +55,13 @@ func TestRunFileEmpty(t *testing.T) {
 	if err := rf.CloseWrite(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAll(path)
+	rr, err := OpenRunReader(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 0 {
-		t.Fatalf("expected empty, got %d", len(got))
+	defer rr.Close()
+	if _, err := rr.NextRef(); err != io.EOF {
+		t.Fatalf("expected EOF from an empty run file, got %v", err)
 	}
 }
 

@@ -178,6 +178,43 @@ func TestAutoKeepsRawForIncompressible(t *testing.T) {
 	}
 }
 
+// TestAutoSkipsDeflateOnIncompressiblePayload: on random payload the
+// auto mode's sample rejects DEFLATE before running it, so across many
+// frames the encoder never even creates its flate writer. This is the
+// machine-independent form of "auto costs nothing on incompressible
+// data": the raw path does no compression work at all.
+func TestAutoSkipsDeflateOnIncompressiblePayload(t *testing.T) {
+	const frames = 64
+	rng := rand.New(rand.NewSource(7))
+	e := NewFrameEncoder(CompressAuto)
+	f := NewFrame()
+	defer PutFrame(f)
+	a := NewFrameAppender(f)
+	for i := 0; i < frames; i++ {
+		f.Reset()
+		// A 12-byte leading field keeps the delta codec ineligible.
+		k := make([]byte, 12)
+		v := make([]byte, 64+rng.Intn(448))
+		for {
+			rng.Read(k)
+			rng.Read(v)
+			if !a.Append(k, v) {
+				break
+			}
+		}
+		enc, _, err := e.EncodeFrame(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc != EncRaw {
+			t.Fatalf("frame %d: incompressible frame encoded as %d, want raw", i, enc)
+		}
+		if e.fw != nil {
+			t.Fatalf("frame %d: auto mode ran DEFLATE on incompressible payload", i)
+		}
+	}
+}
+
 func TestFlateShrinksMessageFrame(t *testing.T) {
 	f := msgFrame(t, 1000, 5_000_000, 2)
 	defer PutFrame(f)

@@ -1,7 +1,6 @@
 package tuple
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -202,20 +201,6 @@ func (r TupleRef) AppendFieldsTo(dst Tuple) Tuple {
 
 // String renders the referenced tuple for debugging.
 func (r TupleRef) String() string { return r.Materialize().String() }
-
-// RefComparator orders tuples in place by their frame references.
-type RefComparator func(a, b TupleRef) int
-
-// KeyRefCompare compares two tuple refs on one field by raw byte order.
-func KeyRefCompare(field int) RefComparator {
-	return func(a, b TupleRef) int {
-		return bytes.Compare(a.Field(field), b.Field(field))
-	}
-}
-
-// Field0RefCompare is the common-case ref comparator on the leading
-// field, which in Pregelix holds the big-endian vid.
-var Field0RefCompare = KeyRefCompare(0)
 
 // FrameAppender packs tuples into a frame. Append methods return false
 // when the tuple does not fit in the remaining capacity — the caller

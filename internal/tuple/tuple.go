@@ -1,6 +1,7 @@
 // Package tuple provides the byte-oriented tuple and frame representation
 // that flows between dataflow operators, together with order-preserving
-// field encodings and comparators.
+// field encodings and the sorted tuple stream (RefSource) with its k-way
+// merge.
 //
 // Relations in the Pregelix logical plan (Vertex, Msg, GS) are streams of
 // tuples. On the data path, tuples live packed inside Frames — single
@@ -12,6 +13,10 @@
 // are encoded big-endian so that bytes.Compare on the encoded form agrees
 // with numeric order; this lets sort, merge and join operators work
 // directly on serialized keys.
+//
+// Sorted streams travel as RefSources: pull iterators of zero-copy
+// TupleRefs ordered by field 0. Merge is the one k-way merge over them;
+// the group-by finish and the merging connector receiver both use it.
 package tuple
 
 import (
@@ -73,13 +78,6 @@ func EncodeUint64(v uint64) []byte {
 	b := make([]byte, 8)
 	binary.BigEndian.PutUint64(b, v)
 	return b
-}
-
-// AppendUint64 appends the big-endian encoding of v to dst.
-func AppendUint64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
 }
 
 // DecodeUint64 decodes a big-endian uint64. It panics if b is shorter than
@@ -184,20 +182,6 @@ func ReadTuple(r io.Reader) (Tuple, error) {
 	}
 	return t, nil
 }
-
-// Comparator orders tuples. Negative means a<b, zero equal, positive a>b.
-type Comparator func(a, b Tuple) int
-
-// KeyCompare compares two tuples on a single field by raw byte order.
-func KeyCompare(field int) Comparator {
-	return func(a, b Tuple) int {
-		return bytes.Compare(a[field], b[field])
-	}
-}
-
-// Field0Compare is the common-case comparator on the leading field, which
-// in Pregelix holds the big-endian vid.
-var Field0Compare = KeyCompare(0)
 
 // Equal reports whether two tuples have identical fields.
 func Equal(a, b Tuple) bool {

@@ -130,17 +130,50 @@ func TestFrameCapacityAndGrowth(t *testing.T) {
 	}
 }
 
+// TestComparators: tuples order by their big-endian field 0 alone —
+// the key Merge compares — and Equal compares every field.
 func TestComparators(t *testing.T) {
 	a := Tuple{EncodeUint64(5), []byte("x")}
 	b := Tuple{EncodeUint64(9), []byte("a")}
-	if Field0Compare(a, b) >= 0 || Field0Compare(b, a) <= 0 || Field0Compare(a, a) != 0 {
-		t.Fatal("Field0Compare broken")
+	var got []Tuple
+	err := Merge([]RefSource{refsOf(t, b), refsOf(t, a)}, func(r TupleRef) error {
+		got = append(got, r.Materialize())
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c1 := KeyCompare(1)
-	if c1(a, b) <= 0 {
-		t.Fatal("KeyCompare(1) broken")
+	if len(got) != 2 || !Equal(got[0], a) || !Equal(got[1], b) {
+		t.Fatalf("merge did not order by field 0: %v", got)
 	}
 	if !Equal(a, a.Clone()) || Equal(a, b) {
 		t.Fatal("Equal broken")
 	}
+}
+
+// frameSource streams the tuples of one frame as a RefSource.
+type frameSource struct {
+	f *Frame
+	i int
+}
+
+func (s *frameSource) NextRef() (TupleRef, error) {
+	if s.i >= s.f.Len() {
+		return TupleRef{}, io.EOF
+	}
+	s.i++
+	return s.f.Tuple(s.i - 1), nil
+}
+
+// refsOf packs ts into one frame and streams it.
+func refsOf(t *testing.T, ts ...Tuple) RefSource {
+	t.Helper()
+	f := NewFrame()
+	a := NewFrameAppender(f)
+	for _, tp := range ts {
+		if !a.AppendTuple(tp) {
+			t.Fatal("test tuples overflow one frame")
+		}
+	}
+	return &frameSource{f: f}
 }

@@ -151,7 +151,6 @@ func failSpec(name string, nodes int, merging bool, boom error) *hyracks.JobSpec
 	}
 	if merging {
 		cd.Type = hyracks.MToNPartitioningMerging
-		cd.Comparator = tuple.Field0RefCompare
 	}
 	spec.Connect(cd)
 	return spec

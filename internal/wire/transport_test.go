@@ -90,7 +90,6 @@ func shuffleSpec(name string, senders, receivers, perSender int, merging bool, c
 	}
 	if merging {
 		cd.Type = hyracks.MToNPartitioningMerging
-		cd.Comparator = tuple.Field0RefCompare
 	}
 	spec.Connect(cd)
 	return spec
